@@ -112,7 +112,7 @@ pub struct DriverProfile {
     /// Seconds dispatching cluster events (messages, timers, kills) into
     /// actors.
     pub cluster_dispatch_s: f64,
-    /// Seconds advancing the storage system (the parallelizable half).
+    /// Seconds advancing the storage system.
     pub storage_drain_s: f64,
     /// Seconds delivering harvested storage completions into actors.
     pub harvest_deliver_s: f64,
@@ -126,14 +126,6 @@ struct DriverProf {
     drain: std::time::Duration,
     deliver: std::time::Duration,
     rounds: u64,
-}
-
-/// Process-wide default for the driver loop choice: protocol lookahead
-/// is ON unless `MANAGED_IO_LOOKAHEAD=0`. Read once; per-simulation
-/// overrides go through [`Simulation::set_lookahead`].
-fn lookahead_default() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("MANAGED_IO_LOOKAHEAD").map_or(true, |v| v != "0"))
 }
 
 /// The simulation: actors + storage under one clock.
@@ -156,9 +148,6 @@ pub struct Simulation<A: Actor> {
     /// Reusable harvest buffer handed to `StorageSystem::advance_into` on
     /// every storage wake (the hot loop allocates nothing).
     io_buf: Vec<storesim::system::StorageCompletion>,
-    /// Per-simulation driver loop choice; `None` follows the
-    /// `MANAGED_IO_LOOKAHEAD` environment default (on).
-    lookahead: Option<bool>,
     /// Driver phase profile, `None` (zero overhead) unless enabled.
     dprof: Option<Box<DriverProf>>,
 }
@@ -201,25 +190,8 @@ impl<A: Actor> Simulation<A> {
             dead,
             trace: None,
             io_buf: Vec::new(),
-            lookahead: None,
             dprof: None,
         }
-    }
-
-    /// Force the driver loop for this simulation: `true` = protocol
-    /// lookahead (wide coupled macro-windows), `false` = the
-    /// one-event-at-a-time stepwise loop. Overrides the
-    /// `MANAGED_IO_LOOKAHEAD` environment default. Both loops produce
-    /// byte-identical runs; the choice only affects wall-clock time.
-    pub fn set_lookahead(&mut self, on: bool) {
-        self.lookahead = Some(on);
-    }
-
-    /// Which driver loop this simulation will run: the explicit
-    /// [`Simulation::set_lookahead`] override if set, else the
-    /// `MANAGED_IO_LOOKAHEAD` environment default (on unless `=0`).
-    pub fn lookahead_enabled(&self) -> bool {
-        self.lookahead.unwrap_or_else(lookahead_default)
     }
 
     /// Start collecting a wall-time phase breakdown of the driver loop
@@ -371,21 +343,67 @@ impl<A: Actor> Simulation<A> {
             io_completions: 0,
             io_evaporated: 0,
         };
-        if let Some(t) = finish_target {
-            if self.finished >= t {
-                return stats;
+        // Advance to the earlier of the two event sources, one instant at
+        // a time.
+        loop {
+            if let Some(t) = finish_target {
+                if self.finished >= t {
+                    break;
+                }
             }
-        }
-        if self.lookahead_enabled() {
-            self.run_lookahead(finish_target, deadline, &mut stats);
-        } else {
-            self.run_stepwise(finish_target, deadline, &mut stats);
+            if let Some(p) = &mut self.dprof {
+                p.rounds += 1;
+            }
+            let tq = self.queue.peek_time();
+            let ts = self.storage.next_event_time();
+            let t = match (tq, ts) {
+                (None, None) => break,
+                (Some(a), None) => a,
+                (None, Some(b)) => b,
+                (Some(a), Some(b)) => a.min(b),
+            };
+            if t > deadline {
+                break;
+            }
+            stats.end_time = t;
+            // Storage first on ties.
+            if ts.is_some_and(|s| s <= t) {
+                let mut completions = std::mem::take(&mut self.io_buf);
+                completions.clear();
+                let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
+                self.storage.advance_into(t, &mut completions);
+                if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
+                    p.drain += t0.elapsed();
+                }
+                let t1 = self.dprof.as_ref().map(|_| std::time::Instant::now());
+                for c in completions.drain(..) {
+                    self.dispatch_completion(c, &mut stats);
+                }
+                if let (Some(t1), Some(p)) = (t1, self.dprof.as_mut()) {
+                    p.deliver += t1.elapsed();
+                }
+                self.io_buf = completions;
+                // Re-evaluate sources; the storage advance may have been a
+                // pure noise flip producing no completions.
+                if self.queue.peek_time() != tq || tq != Some(t) {
+                    continue;
+                }
+            }
+            // Deliver at most one cluster event per iteration if it is due.
+            if tq == Some(t) {
+                let (at, ev) = self.queue.pop().expect("peeked event exists");
+                let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
+                self.dispatch_cluster_event(at, ev, &mut stats);
+                if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
+                    p.cluster += t0.elapsed();
+                }
+            }
         }
         stats
     }
 
     /// Deliver one harvested storage completion to its rank (or count it
-    /// as evaporated if the rank is dead). Shared by both driver loops.
+    /// as evaporated if the rank is dead).
     fn dispatch_completion(
         &mut self,
         c: storesim::system::StorageCompletion,
@@ -438,8 +456,7 @@ impl<A: Actor> Simulation<A> {
         actors[rank.0 as usize].on_io_complete(done, &mut ctx);
     }
 
-    /// Dispatch one popped cluster event into its actor. Shared by both
-    /// driver loops.
+    /// Dispatch one popped cluster event into its actor.
     fn dispatch_cluster_event(
         &mut self,
         at: SimTime,
@@ -503,158 +520,6 @@ impl<A: Actor> Simulation<A> {
             PendingEvent::Kill { rank } => {
                 Self::record(trace, at, rank, "killed".to_string());
                 dead[rank.0 as usize] = true;
-            }
-        }
-    }
-
-    /// The pre-lookahead driver loop: advance to the earlier of the two
-    /// event sources, one instant at a time. Kept as the pinning
-    /// reference for the lookahead loop (and selectable via
-    /// `MANAGED_IO_LOOKAHEAD=0` / [`Simulation::set_lookahead`]).
-    fn run_stepwise(&mut self, finish_target: Option<u64>, deadline: SimTime, stats: &mut RunStats) {
-        loop {
-            if let Some(t) = finish_target {
-                if self.finished >= t {
-                    break;
-                }
-            }
-            if let Some(p) = &mut self.dprof {
-                p.rounds += 1;
-            }
-            let tq = self.queue.peek_time();
-            let ts = self.storage.next_event_time();
-            let t = match (tq, ts) {
-                (None, None) => break,
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (Some(a), Some(b)) => a.min(b),
-            };
-            if t > deadline {
-                break;
-            }
-            stats.end_time = t;
-            // Storage first on ties.
-            if ts.is_some_and(|s| s <= t) {
-                let mut completions = std::mem::take(&mut self.io_buf);
-                completions.clear();
-                let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                self.storage.advance_into(t, &mut completions);
-                if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
-                    p.drain += t0.elapsed();
-                }
-                let t1 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                for c in completions.drain(..) {
-                    self.dispatch_completion(c, stats);
-                }
-                if let (Some(t1), Some(p)) = (t1, self.dprof.as_mut()) {
-                    p.deliver += t1.elapsed();
-                }
-                self.io_buf = completions;
-                // Re-evaluate sources; the storage advance may have been a
-                // pure noise flip producing no completions.
-                if self.queue.peek_time() != tq || tq != Some(t) {
-                    continue;
-                }
-            }
-            // Deliver at most one cluster event per iteration if it is due.
-            if tq == Some(t) {
-                let (at, ev) = self.queue.pop().expect("peeked event exists");
-                let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                self.dispatch_cluster_event(at, ev, stats);
-                if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
-                    p.cluster += t0.elapsed();
-                }
-            }
-        }
-    }
-
-    /// **Protocol lookahead loop.** Between `now` and the next cluster
-    /// event no actor can run, so `min(next cluster event, deadline)` is
-    /// a sound lookahead horizon for the storage system:
-    /// [`StorageSystem::advance_until_completion`] bulk-drains lane-local
-    /// events (noise flips, background renewals, stream wakes) across the
-    /// whole window — in parallel on the shard pool — and stops only at
-    /// the first instant foreground completions surface. Delivery order,
-    /// every stochastic draw, `end_time` and all statistics are
-    /// byte-identical to [`Self::run_stepwise`]; only wall-clock time
-    /// changes.
-    fn run_lookahead(
-        &mut self,
-        finish_target: Option<u64>,
-        deadline: SimTime,
-        stats: &mut RunStats,
-    ) {
-        loop {
-            if let Some(t) = finish_target {
-                if self.finished >= t {
-                    break;
-                }
-            }
-            if let Some(p) = &mut self.dprof {
-                p.rounds += 1;
-            }
-            let tq = self.queue.peek_time();
-            let horizon = match tq {
-                Some(t) if t <= deadline => t,
-                _ => deadline,
-            };
-            let mut completions = std::mem::take(&mut self.io_buf);
-            completions.clear();
-            // O(1) cached probe first: in message-dense stretches the
-            // storage system is quiet until past the horizon, and the
-            // round must cost what a stepwise round costs — one compare —
-            // not a full window-machinery entry.
-            let ret = if self.storage.next_event_time().is_some_and(|s| s <= horizon) {
-                let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                let ret = self.storage.advance_until_completion(horizon, &mut completions);
-                if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
-                    p.drain += t0.elapsed();
-                }
-                ret
-            } else {
-                None
-            };
-            if let Some(t) = ret {
-                stats.end_time = t;
-            }
-            if completions.is_empty() {
-                self.io_buf = completions;
-                // Storage is quiet until past the horizon: the cluster
-                // event (if due) is next, else the run is over.
-                match tq {
-                    Some(t) if t <= deadline => {
-                        stats.end_time = t;
-                        let (at, ev) = self.queue.pop().expect("peeked event exists");
-                        let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                        self.dispatch_cluster_event(at, ev, stats);
-                        if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
-                            p.cluster += t0.elapsed();
-                        }
-                    }
-                    _ => break,
-                }
-            } else {
-                let t1 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                for c in completions.drain(..) {
-                    self.dispatch_completion(c, stats);
-                }
-                if let (Some(t1), Some(p)) = (t1, self.dprof.as_mut()) {
-                    p.deliver += t1.elapsed();
-                }
-                self.io_buf = completions;
-                // Stepwise parity: a cluster event due at exactly the
-                // delivery instant — with the queue head unmoved by the
-                // handlers — dispatches in the same round, *before* any
-                // storage event a handler may have scheduled at that
-                // same instant.
-                if tq.is_some() && tq == ret && self.queue.peek_time() == tq {
-                    let (at, ev) = self.queue.pop().expect("peeked event exists");
-                    let t0 = self.dprof.as_ref().map(|_| std::time::Instant::now());
-                    self.dispatch_cluster_event(at, ev, stats);
-                    if let (Some(t0), Some(p)) = (t0, self.dprof.as_mut()) {
-                        p.cluster += t0.elapsed();
-                    }
-                }
             }
         }
     }
@@ -905,80 +770,24 @@ mod tests {
         // Rank 0 issues a slow 1 GiB write and is killed long before it
         // finishes. The completion must be counted as evaporated, not as
         // delivered — the old driver bumped `io_completions` *before* the
-        // dead-rank check and over-reported. Both driver loops must agree.
-        for lookahead in [false, true] {
-            let actors = vec![OneWrite {
-                bytes: 1024 * MIB,
-                done: None,
-            }];
-            let mut sim = Simulation::new(testbed(), actors, 11);
-            sim.set_lookahead(lookahead);
-            sim.install_fault_plane(crate::FaultPlane::new(11).kill_at(0.001, 0));
-            let stats = sim.run(SimTime::from_secs_f64(1.0e4));
-            assert!(sim.is_dead(Rank(0)));
-            assert_eq!(
-                stats.io_completions, 0,
-                "lookahead={lookahead}: a dead rank's completion was counted as delivered"
-            );
-            assert_eq!(
-                stats.io_evaporated, 1,
-                "lookahead={lookahead}: the evaporated completion went untallied"
-            );
-            assert!(sim.actor(Rank(0)).done.is_none());
-        }
-    }
-
-    #[test]
-    fn lookahead_driver_matches_stepwise_driver() {
-        // Same workload, both driver loops: every per-rank completion
-        // instant and every statistic must be byte-identical. Includes
-        // messaging (Chained) so cluster events and IO interleave.
-        let run = |lookahead: bool| {
-            let mut actors: Vec<OneWrite> = (0..24)
-                .map(|i| OneWrite {
-                    bytes: (i % 9 + 1) * MIB,
-                    done: None,
-                })
-                .collect();
-            actors.push(OneWrite {
-                bytes: 64 * MIB,
-                done: None,
-            });
-            let mut sim = Simulation::new(testbed(), actors, 13);
-            sim.set_lookahead(lookahead);
-            let stats = sim.run_to_completion();
-            let times: Vec<u64> = sim
-                .actors()
-                .map(|a| a.done.unwrap().finished.as_nanos())
-                .collect();
-            (times, stats.end_time.as_nanos(), stats.cluster_events, stats.io_completions)
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn lookahead_matches_stepwise_with_messaging_and_kills() {
-        // Interleaved IO + messaging + a mid-run kill: the tie-dispatch
-        // rule (cluster event due at exactly a delivery instant) and the
-        // evaporation path both get exercised.
-        let run = |lookahead: bool| {
-            let mk = || Chained {
-                wrote: false,
-                finished_at: None,
-            };
-            let mut sim = Simulation::new(testbed(), vec![mk(), mk()], 17);
-            sim.set_lookahead(lookahead);
-            let stats = sim.run_to_completion();
-            (
-                sim.actor(Rank(0)).finished_at.map(|t| t.as_nanos()),
-                sim.actor(Rank(1)).finished_at.map(|t| t.as_nanos()),
-                stats.end_time.as_nanos(),
-                stats.cluster_events,
-                stats.io_completions,
-                stats.io_evaporated,
-            )
-        };
-        assert_eq!(run(false), run(true));
+        // dead-rank check and over-reported.
+        let actors = vec![OneWrite {
+            bytes: 1024 * MIB,
+            done: None,
+        }];
+        let mut sim = Simulation::new(testbed(), actors, 11);
+        sim.install_fault_plane(crate::FaultPlane::new(11).kill_at(0.001, 0));
+        let stats = sim.run(SimTime::from_secs_f64(1.0e4));
+        assert!(sim.is_dead(Rank(0)));
+        assert_eq!(
+            stats.io_completions, 0,
+            "a dead rank's completion was counted as delivered"
+        );
+        assert_eq!(
+            stats.io_evaporated, 1,
+            "the evaporated completion went untallied"
+        );
+        assert!(sim.actor(Rank(0)).done.is_none());
     }
 
     #[test]

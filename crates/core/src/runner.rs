@@ -282,39 +282,12 @@ impl RunOutput {
 #[derive(Default)]
 pub struct RunScratch {
     pooled: Option<(Arc<OutputPlan>, StorageSystem)>,
-    /// Explicit in-run shard-thread budget; `None` follows
-    /// `MANAGED_IO_SHARDS`.
-    shards: Option<usize>,
-    /// Explicit driver-loop choice; `None` follows
-    /// `MANAGED_IO_LOOKAHEAD` (on unless `=0`).
-    lookahead: Option<bool>,
 }
 
 impl RunScratch {
     /// An empty (cold) scratch.
     pub fn new() -> Self {
         RunScratch::default()
-    }
-
-    /// A scratch whose storage systems advance their OST shards on
-    /// `threads` threads, ignoring `MANAGED_IO_SHARDS`. Byte-identical
-    /// to the serial default at any setting — this is how the sharded
-    /// differential tests pin thread counts without env races.
-    pub fn with_shard_threads(threads: usize) -> Self {
-        RunScratch {
-            pooled: None,
-            shards: Some(threads),
-            lookahead: None,
-        }
-    }
-
-    /// Pin the coupled driver loop for every run through this scratch:
-    /// `true` = protocol lookahead (wide macro-windows), `false` = the
-    /// stepwise one-event-per-iteration reference loop. Overrides
-    /// `MANAGED_IO_LOOKAHEAD`. Byte-identical either way — this is how
-    /// the coupled differential tests pin the loop without env races.
-    pub fn set_lookahead(&mut self, on: bool) {
-        self.lookahead = Some(on);
     }
 
     /// Take a storage system for one `(base, seed)` replicate: reset the
@@ -329,9 +302,6 @@ impl RunScratch {
             }
             _ => (StorageSystem::new(Arc::clone(&base.machine), seed), false),
         };
-        // In-run sharding: a warm system keeps its shard layout and pool,
-        // so this is a no-op on every seed after the first.
-        sys.set_shard_threads(self.shards.unwrap_or_else(shard_threads));
         if profiling() {
             sys.enable_profiling();
         }
@@ -342,22 +312,6 @@ impl RunScratch {
     fn put_back(&mut self, base: &RunBase, sys: StorageSystem) {
         self.pooled = Some((Arc::clone(&base.plan), sys));
     }
-}
-
-/// In-run shard-thread budget from `MANAGED_IO_SHARDS` (default 1 =
-/// serial). Composes with the sweep's `MANAGED_IO_THREADS`: the outer
-/// sweep fans seeds across workers, and each worker's storage system
-/// advances its OST shards on this many threads between decision points.
-/// Results are byte-identical at any setting; only wall-clock changes.
-fn shard_threads() -> usize {
-    static SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *SHARDS.get_or_init(|| match std::env::var("MANAGED_IO_SHARDS") {
-        Ok(raw) => simcore::par::parse_threads(&raw).unwrap_or_else(|err| {
-            eprintln!("managed-io: ignoring MANAGED_IO_SHARDS={raw:?}: {err}; running serial");
-            1
-        }),
-        Err(_) => 1,
-    })
 }
 
 /// True when `MANAGED_IO_PROFILE=1`: every run prints a wall-time phase
@@ -387,12 +341,8 @@ fn timed_stats<T>(f: impl FnOnce() -> T) -> T {
     r
 }
 
-/// Apply the scratch's driver-loop choice to a freshly-built simulation
-/// and arm the coupled driver profile when `MANAGED_IO_PROFILE=1`.
-fn configure_driver<A: Actor>(sim: &mut Simulation<A>, scratch: &RunScratch) {
-    if let Some(on) = scratch.lookahead {
-        sim.set_lookahead(on);
-    }
+/// Arm the coupled driver profile when `MANAGED_IO_PROFILE=1`.
+fn configure_driver<A: Actor>(sim: &mut Simulation<A>) {
     if profiling() {
         sim.enable_driver_profiling();
     }
@@ -407,8 +357,6 @@ fn emit_driver_profile<A: Actor>(sim: &Simulation<A>, seed: u64) {
         let row = minijson::json!({
             "profile": "coupled_driver",
             "seed": seed,
-            "shards": sim.storage().shard_threads() as u64,
-            "lookahead": sim.lookahead_enabled(),
             "cluster_dispatch_s": p.cluster_dispatch_s,
             "storage_drain_s": p.storage_drain_s,
             "harvest_deliver_s": p.harvest_deliver_s,
@@ -643,22 +591,19 @@ impl RunBase {
         let stats = STATS_TIME.with(std::cell::Cell::get).as_secs_f64();
         if let Some((_, sys)) = &scratch.pooled {
             if let Some(p) = sys.profile() {
-                // Everything not spent advancing OST shards, merging
-                // their harvests, or computing stats is the serialized
-                // client protocol (actors, MDS, global events) — the
-                // Amdahl residual of in-run sharding.
+                // Everything not spent advancing OSTs, applying their
+                // harvests, or computing stats is the client protocol
+                // (actors, MDS, global events).
                 let client = (total - p.ost_advance_s - p.harvest_merge_s - stats).max(0.0);
                 let row = minijson::json!({
                     "profile": "in_run",
                     "seed": seed,
-                    "shards": sys.shard_threads() as u64,
                     "total_s": total,
                     "client_s": client,
                     "ost_advance_s": p.ost_advance_s,
                     "harvest_merge_s": p.harvest_merge_s,
                     "stats_s": stats,
                     "windows": p.windows,
-                    "parallel_windows": p.parallel_windows,
                     "shard_events": p.shard_events,
                     "global_events": p.global_events,
                 });
@@ -776,26 +721,32 @@ fn account(
     records: &[WriteRecord],
 ) -> (WriteOutcome, Vec<SimError>) {
     let total: u64 = rank_bytes.iter().sum();
+    // One pass over the records into per-rank accumulators. The last
+    // destroyed record per rank (in record order) names the OST.
+    let mut valid = vec![0u64; rank_bytes.len()];
+    let mut destroyed: Vec<Option<usize>> = vec![None; rank_bytes.len()];
+    for r in records {
+        let rank = r.rank as usize;
+        if rank >= rank_bytes.len() {
+            continue;
+        }
+        if storage.ost_lost_data_since(r.ost, r.end) {
+            destroyed[rank] = Some(r.ost.0);
+        } else {
+            valid[rank] += r.bytes;
+        }
+    }
     let mut written = 0u64;
     let mut errors = Vec::new();
     for (rank, &bytes) in rank_bytes.iter().enumerate() {
-        let mut valid = 0u64;
-        let mut destroyed: Option<&WriteRecord> = None;
-        for r in records.iter().filter(|r| r.rank == rank as u32) {
-            if storage.ost_lost_data_since(r.ost, r.end) {
-                destroyed = Some(r);
-            } else {
-                valid += r.bytes;
-            }
-        }
-        let w = valid.min(bytes);
+        let w = valid[rank].min(bytes);
         written += w;
         let lost = bytes - w;
         if lost > 0 {
-            match destroyed {
-                Some(r) => errors.push(SimError::DataLost {
+            match destroyed[rank] {
+                Some(ost) => errors.push(SimError::DataLost {
                     rank: rank as u32,
-                    ost: r.ost.0,
+                    ost,
                     bytes: lost,
                 }),
                 None => errors.push(SimError::RankFailed {
@@ -870,7 +821,7 @@ fn run_posix(base: &RunBase, seed: u64, faults: &FaultConfig, scratch: &mut RunS
     let mut sim = Simulation::with_storage(Arc::clone(&base.machine), actors, seed, storage);
     apply_interference(sim.storage_mut(), &base.interference);
     install_faults(&mut sim, seed, faults);
-    configure_driver(&mut sim, scratch);
+    configure_driver(&mut sim);
     let stats = sim.run_until(base.nprocs as u64, RUN_DEADLINE);
     emit_driver_profile(&sim, seed);
     let mut errors = Vec::new();
@@ -952,7 +903,7 @@ fn run_mpiio(base: &RunBase, seed: u64, faults: &FaultConfig, scratch: &mut RunS
     let mut sim = Simulation::with_storage(Arc::clone(&base.machine), actors, seed, storage);
     apply_interference(sim.storage_mut(), &base.interference);
     install_faults(&mut sim, seed, faults);
-    configure_driver(&mut sim, scratch);
+    configure_driver(&mut sim);
     let stats = sim.run_until(base.nprocs as u64, RUN_DEADLINE);
     emit_driver_profile(&sim, seed);
     let mut errors = Vec::new();
@@ -1085,7 +1036,7 @@ fn run_adaptive(
     let mut sim = Simulation::with_storage(Arc::clone(&base.machine), actors, seed, storage);
     apply_interference(sim.storage_mut(), &base.interference);
     install_faults(&mut sim, seed, faults);
-    configure_driver(&mut sim, scratch);
+    configure_driver(&mut sim);
     // The coordinator's single finish signal marks the whole operation
     // (data + local indices + global index) durable.
     let stats = sim.run_until(1, RUN_DEADLINE);
@@ -1199,5 +1150,77 @@ fn run_adaptive(
         outcome,
         oracle,
         integrity,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use storesim::params::testbed;
+    use storesim::{FailMode, FaultScript};
+
+    fn rec(rank: u32, ost: usize, bytes: u64, end: f64) -> WriteRecord {
+        WriteRecord {
+            rank,
+            bytes,
+            start: SimTime::ZERO,
+            end: SimTime::from_secs_f64(end),
+            ost: OstId(ost),
+            file: FileId(0),
+            offset: 0,
+            adaptive: false,
+        }
+    }
+
+    /// Rank 0 has two destroyed records on different OSTs, interleaved
+    /// with rank 1's records: `DataLost` names the later one in record
+    /// order, each rank's surviving bytes are its own, and a rank with
+    /// no records at all fails as a whole.
+    #[test]
+    fn account_names_last_destroyed_ost_per_rank() {
+        let mut storage = StorageSystem::new(testbed(), 1);
+        storage.install_faults(
+            &FaultScript::none()
+                .fail_ost(1.0, 2, FailMode::Error, None)
+                .fail_ost(1.0, 5, FailMode::Error, None),
+        );
+        storage.advance_to(SimTime::from_secs_f64(2.0));
+        let records = [
+            rec(0, 2, 10, 0.1), // destroyed
+            rec(1, 0, 40, 0.2),
+            rec(0, 1, 30, 0.3),
+            rec(1, 2, 20, 0.4), // destroyed
+            rec(0, 5, 15, 0.5), // destroyed, rank 0's last
+            rec(1, 3, 5, 0.6),
+        ];
+        let (outcome, errors) = account(&storage, &[60, 70, 8], &records);
+        assert_eq!(
+            errors,
+            vec![
+                SimError::DataLost {
+                    rank: 0,
+                    ost: 5,
+                    bytes: 30,
+                },
+                SimError::DataLost {
+                    rank: 1,
+                    ost: 2,
+                    bytes: 25,
+                },
+                SimError::RankFailed {
+                    rank: 2,
+                    bytes_lost: 8,
+                },
+            ]
+        );
+        assert_eq!(
+            outcome,
+            WriteOutcome {
+                total_bytes: 138,
+                written_bytes: 75,
+                lost_bytes: 63,
+                complete: false,
+            }
+        );
     }
 }

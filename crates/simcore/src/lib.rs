@@ -9,10 +9,6 @@
 //! * [`fx`] — FxHash map/set aliases for trusted integer keys.
 //! * [`par`] — deterministic fork-join `par_map` over independent
 //!   replicates, honoring the `MANAGED_IO_THREADS` environment variable.
-//! * [`shard`] — a persistent parked-worker pool ([`shard::ShardPool`])
-//!   for the storage engine's sharded macro-steps, where regions are
-//!   dispatched thousands of times per run and spawn-per-region would
-//!   dominate.
 //! * [`rng`] — seedable, reproducible random number generators
 //!   (SplitMix64 for seeding, xoshiro256** for streams) and the
 //!   distributions the storage models need (uniform, exponential, normal,
@@ -41,12 +37,10 @@ pub mod fx;
 pub mod par;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod units;
 
 pub use fx::{FxHashMap, FxHashSet};
 pub use queue::{EventQueue, EventToken};
 pub use rng::{Rng, SplitMix64};
-pub use shard::ShardPool;
 pub use time::{SimDuration, SimTime};

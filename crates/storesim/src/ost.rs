@@ -513,64 +513,6 @@ mod tests {
                     let done_at = finish_of(&mut ost, RequestId(1));
                     assert!(done_at > recover);
                 }
-
-                #[test]
-                fn fg_bound_is_a_true_lower_bound_under_contention_and_noise() {
-                    // The lookahead contract: the bound must never exceed
-                    // the actual first foreground completion instant, under
-                    // contention (8-way sharing) and degraded noise alike.
-                    let mut ost = small_ost();
-                    ost.set_noise(SimTime::ZERO, 0.4);
-                    for i in 0..8u64 {
-                        ost.submit(SimTime::ZERO, RequestId(i), 32 * MIB, OpKind::WriteDirect);
-                    }
-                    let bound = ost.fg_completion_bound().expect("foreground in flight");
-                    assert!(bound > SimTime::ZERO, "busy lane bounds past now");
-                    let actual = {
-                        let mut probe = ost.clone();
-                        next_batch(&mut probe).0
-                    };
-                    assert!(
-                        bound <= actual,
-                        "bound {bound} must not pass the first completion {actual}"
-                    );
-                    // Re-settling mid-flight tightens the bound monotonically
-                    // toward (but never past) the completion.
-                    let half = t(actual.as_secs_f64() / 2.0);
-                    ost.advance(half);
-                    let later = ost.fg_completion_bound().expect("still in flight");
-                    assert!(later >= bound && later <= actual);
-                }
-
-                #[test]
-                fn fg_bound_none_when_idle_or_frozen() {
-                    let mut ost = small_ost();
-                    assert!(ost.fg_completion_bound().is_none(), "idle has no bound");
-                    ost.submit(SimTime::ZERO, RequestId(1), 8 * MIB, OpKind::Write);
-                    assert!(ost.fg_completion_bound().is_some());
-                    ost.freeze(t(0.5));
-                    assert!(
-                        ost.fg_completion_bound().is_none(),
-                        "a frozen target constrains nothing within a window"
-                    );
-                    ost.unfreeze(t(1.0));
-                    assert!(ost.fg_completion_bound().is_some());
-                }
-
-                #[test]
-                fn fg_bound_skips_background_streams() {
-                    let mut ost = small_ost();
-                    // Background interference only: no foreground bound.
-                    ost.submit(SimTime::ZERO, RequestId(BG_BIT | 7), 64 * MIB, OpKind::WriteDirect);
-                    assert!(ost.next_completion().is_some(), "stream is in flight");
-                    assert!(
-                        ost.fg_completion_bound().is_none(),
-                        "background streams must not constrain the window"
-                    );
-                    // A foreground arrival restores the bound.
-                    ost.submit(t(0.1), RequestId(3), 8 * MIB, OpKind::Write);
-                    assert!(ost.fg_completion_bound().is_some());
-                }
             }
         };
     }

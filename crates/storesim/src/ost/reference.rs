@@ -11,7 +11,7 @@ use simcore::SimTime;
 
 use crate::params::OstParams;
 
-use super::{per_stream_rate, wake_delay, Lane, OpKind, OstCompletion, RequestId, BG_BIT, DONE_EPS};
+use super::{per_stream_rate, wake_delay, Lane, OpKind, OstCompletion, RequestId, DONE_EPS};
 
 #[derive(Clone, Debug)]
 struct Stream {
@@ -283,34 +283,6 @@ impl RefOst {
             if t < best {
                 best = t;
             }
-        }
-        Some(self.last_settle.saturating_add(wake_delay(best)))
-    }
-
-    /// A conservative lower bound on the next *foreground* completion
-    /// instant — see [`super::vt::VtOst::fg_completion_bound`] for the
-    /// contract and the soundness argument. Both engines must agree on
-    /// the *contract* (a true lower bound), not on the value: the bound
-    /// only steers window sizes, never outcomes.
-    pub fn fg_completion_bound(&self) -> Option<SimTime> {
-        if self.frozen {
-            return None;
-        }
-        let disk_max = self.params.disk_peak.min(self.params.stream_cap);
-        let cache_max = self.params.cache_ingest_peak.min(self.params.stream_cap);
-        let mut best = f64::INFINITY;
-        for s in &self.streams {
-            if s.id.0 & BG_BIT != 0 {
-                continue;
-            }
-            let max = match s.lane {
-                Lane::Disk => disk_max,
-                Lane::Cache => cache_max,
-            };
-            best = best.min(s.overhead_left + (s.remaining - DONE_EPS).max(0.0) / max);
-        }
-        if best == f64::INFINITY {
-            return None;
         }
         Some(self.last_settle.saturating_add(wake_delay(best)))
     }

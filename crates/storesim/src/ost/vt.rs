@@ -43,7 +43,7 @@ use simcore::SimTime;
 
 use crate::params::OstParams;
 
-use super::{per_stream_rate, wake_delay, Lane, OpKind, OstCompletion, RequestId, BG_BIT, DONE_EPS};
+use super::{per_stream_rate, wake_delay, Lane, OpKind, OstCompletion, RequestId, DONE_EPS};
 
 /// A stream in byte phase, keyed by its virtual finish tag.
 #[derive(Clone, Debug)]
@@ -689,59 +689,6 @@ impl VtOst {
         }
         if let Some(s) = self.cache.heap.peek() {
             best = best.min((s.tag() - self.cache.clock).max(0.0) / self.cache_rate);
-        }
-        if best == f64::INFINITY {
-            return None;
-        }
-        Some(self.last_settle.saturating_add(wake_delay(best)))
-    }
-
-    /// A conservative **lower bound** on the instant the next *foreground*
-    /// stream (background interference carries the high id bit and is
-    /// skipped) can possibly complete, assuming the most favourable
-    /// future: zero contention, noise factor 1, nothing else competing.
-    /// The lookahead driver drains lane-local events up to (just short
-    /// of) the minimum of these bounds, knowing no foreground completion
-    /// can surface strictly inside the drained window. `None` when no
-    /// foreground stream is in flight or the target is frozen (a frozen
-    /// target can only thaw at a global event, i.e. at a window
-    /// boundary, so it constrains nothing within one).
-    ///
-    /// Soundness: overhead burns in wall time (rate exactly 1, never
-    /// faster), and a byte-phase stream's per-stream rate never exceeds
-    /// `min(lane_peak, stream_cap)` — `disk_eff`/`ingest_eff` never
-    /// exceed their peaks and the noise factor is ≤ 1 — so remaining
-    /// service time is at least `overhead_left + (remaining - DONE_EPS)
-    /// / rate_max` (`DONE_EPS` because a stream counts as finished that
-    /// many bytes early). O(W): scans every in-flight stream.
-    pub fn fg_completion_bound(&self) -> Option<SimTime> {
-        if self.frozen {
-            return None;
-        }
-        let disk_max = self.params.disk_peak.min(self.params.stream_cap);
-        let cache_max = self.params.cache_ingest_peak.min(self.params.stream_cap);
-        let mut best = f64::INFINITY;
-        for s in self.disk.heap.items() {
-            if s.id.0 & BG_BIT == 0 {
-                best = best.min((s.tag() - self.disk.clock - DONE_EPS).max(0.0) / disk_max);
-            }
-        }
-        for s in self.cache.heap.items() {
-            if s.id.0 & BG_BIT == 0 {
-                best = best.min((s.tag() - self.cache.clock - DONE_EPS).max(0.0) / cache_max);
-            }
-        }
-        for p in self.pending.items() {
-            if p.id.0 & BG_BIT == 0 {
-                let max = match p.lane {
-                    Lane::Disk => disk_max,
-                    Lane::Cache => cache_max,
-                };
-                best = best.min(
-                    (p.expiry() - self.progress).max(0.0)
-                        + (p.bytes as f64 - DONE_EPS).max(0.0) / max,
-                );
-            }
         }
         if best == f64::INFINITY {
             return None;

@@ -7,30 +7,22 @@
 //! state, and calls [`StorageSystem::advance_to`] to move it forward and
 //! collect finished operations.
 //!
-//! Internally the system is **sharded**: the per-OST lanes (target engine,
-//! micro-noise process, background interference streams and their wake
-//! planning) are partitioned into contiguous shards, each with its own
-//! event heap and scratch arenas. Purely lane-local events — OST wakes,
-//! micro-noise flips, background-burst renewals — live in the shard heaps
-//! and are drained up to a conservative horizon (the next *global* decision
-//! point: MDS wakes, job churn, fault-script edits, or the driver's
-//! deadline) either serially or in parallel on a [`simcore::ShardPool`].
-//! Foreground chunk completions are deferred into per-shard buffers and
-//! merged in deterministic `(time, target, submission)` order before any
-//! global event runs, so the serialized client protocol observes exactly
-//! the same completion stream at any shard/thread count: serial and
-//! sharded execution are byte-identical by construction, because both run
-//! the same per-shard drain over the same intrinsically-keyed heaps.
+//! Internally, purely lane-local events — OST wakes, micro-noise flips,
+//! background-burst renewals — live in one lane heap, keyed intrinsically
+//! by `(time, target, class, stamp)`, and are drained up to the next
+//! *global* decision point (MDS wakes, job churn, fault-script edits, or
+//! the driver's deadline). Foreground chunk completions are buffered
+//! during a drain and applied in `(time, target)` order before any global
+//! event runs, so the serialized client protocol observes one
+//! deterministic completion stream.
 //!
 //! Operations are submitted with a caller-chosen `tag`; completions carry
 //! the tag back so the driver can route them to the right simulated rank.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
 
-use simcore::{EventQueue, EventToken, FxHashMap, Rng, ShardPool, SimDuration, SimTime, SplitMix64};
+use simcore::{EventQueue, EventToken, FxHashMap, Rng, SimDuration, SimTime, SplitMix64};
 
 use crate::fault::{CorruptionOracle, FailMode, FaultEvent, FaultScript};
 use crate::jobs::{combined_factor, CompetingLoad, JobLoadModel};
@@ -72,7 +64,7 @@ pub enum CompletionKind {
 }
 
 /// Global (cross-lane) events. Everything lane-local — OST wakes, noise
-/// flips, background renewals — lives in the shard heaps instead.
+/// flips, background renewals — lives in the lane heap instead.
 #[derive(Clone, Copy, Debug)]
 enum Internal {
     MdsWake,
@@ -123,17 +115,14 @@ struct BgSpec {
     mean_gap: Option<f64>,
 }
 
-/// Shard-event classes, in tie-break order at equal `(time, ost)`.
+/// Lane-event classes, in tie-break order at equal `(time, ost)`.
 const CLASS_WAKE: u8 = 0;
 const CLASS_FLIP: u8 = 1;
 const CLASS_RENEW: u8 = 2;
 
 /// One lane-local event. The key is **intrinsic** — time, target, class,
-/// and a validation stamp — so the pop order of a shard heap is a pure
-/// function of its contents, independent of insertion history. That is
-/// what lets the serial engine and every sharded layout replay the exact
-/// same per-lane event order (the old global queue broke ties by
-/// insertion sequence, which a sharded drain cannot reproduce).
+/// and a validation stamp — so the pop order of the lane heap is a pure
+/// function of its contents, independent of insertion history.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct ShardEv {
     /// Event time in nanoseconds.
@@ -148,8 +137,8 @@ struct ShardEv {
 
 type EvHeap = BinaryHeap<Reverse<ShardEv>>;
 
-/// A deferred foreground chunk completion, merged and applied serially
-/// between shard windows.
+/// A buffered foreground chunk completion, applied serially before the
+/// next global event.
 #[derive(Clone, Copy, Debug)]
 struct FgDone {
     t: u64,
@@ -158,15 +147,14 @@ struct FgDone {
 }
 
 /// Everything one OST lane owns: target engine, noise, health, wake
-/// planning and background streams. Shards get disjoint `&mut [Lane]`
-/// ranges, which is the whole safety argument for the parallel drain.
+/// planning and background streams.
 #[derive(Debug)]
 struct Lane {
     ost: Ost,
     micro: NoiseProcess,
     micro_factor: f64,
     /// Lane-isolated RNG stream (micro-noise transitions, bursty
-    /// background gaps): keeps every stochastic draw a shard can make
+    /// background gaps): keeps every stochastic draw a lane makes
     /// independent of cross-lane event interleaving.
     noise_rng: Rng,
     /// Injected permanent degradation factor (1.0 = healthy).
@@ -191,11 +179,6 @@ struct Lane {
     bg_pending: Vec<(u64, BgSpec)>,
     /// Lane-local id counter for background rids and renewal tokens.
     bg_next: u64,
-    /// Foreground chunks in flight on this lane. Maintained so the
-    /// lookahead bound ([`StorageSystem::fg_bound`]) can skip the (many)
-    /// lanes that carry only background interference without scanning
-    /// their stream sets.
-    fg_count: u32,
 }
 
 impl Lane {
@@ -206,41 +189,35 @@ impl Lane {
     }
 }
 
-/// Per-shard event heap and scratch arenas.
+/// The lane event heap and its scratch arenas.
 #[derive(Debug, Default)]
-struct Shard {
+struct LaneHeap {
     heap: EvHeap,
     /// Reusable harvest buffer for `Ost::advance_into`.
     scratch: Vec<OstCompletion>,
-    /// Deferred foreground completions of the current window.
+    /// Buffered foreground completions of the current drain.
     fg_buf: Vec<FgDone>,
     /// Lane-local events processed (profiling).
     events: u64,
-    /// Time (nanos) of the last event popped in the current drain call,
-    /// `u64::MAX` when the shard popped nothing. Folded across shards
-    /// this reconstructs the chronologically last event a macro-step
-    /// processed — the serial driver's `end_time` — without replaying.
-    last_pop: u64,
 }
 
-impl Shard {
-    /// Build a shard with its arenas pre-sized for `lanes` lanes, so
+impl LaneHeap {
+    /// Build a lane heap with its arenas pre-sized for `lanes` lanes, so
     /// steady-state reset-and-replay cycles never touch the allocator
     /// (lazy invalidation makes the heap's high-water mark mildly
     /// seed-dependent; the slack absorbs it).
     fn with_capacity(lanes: usize) -> Self {
-        Shard {
+        LaneHeap {
             heap: BinaryHeap::with_capacity(2 * lanes + 128),
             scratch: Vec::with_capacity(64),
             fg_buf: Vec::with_capacity(128),
             events: 0,
-            last_pop: u64::MAX,
         }
     }
 }
 
-/// Shared read-only context for a shard drain. Only state that is
-/// guaranteed frozen between global decision points may appear here.
+/// Read-only context for a lane drain. Only state that is guaranteed
+/// frozen between global decision points may appear here.
 struct ShardCtx<'a> {
     jobs: &'a [(u64, CompetingLoad)],
     ost_count: usize,
@@ -252,17 +229,14 @@ struct ShardCtx<'a> {
 /// Wall-time breakdown of a run, captured when profiling is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ProfileReport {
-    /// Seconds spent draining shard heaps (OST advancement) — the
-    /// parallelizable phase.
+    /// Seconds spent draining the lane heap (OST advancement).
     pub ost_advance_s: f64,
-    /// Seconds spent merging and applying deferred foreground
-    /// completions — serial by design.
+    /// Seconds spent sorting and applying buffered foreground
+    /// completions.
     pub harvest_merge_s: f64,
-    /// Macro-step windows executed.
+    /// Lane drains executed.
     pub windows: u64,
-    /// Windows dispatched on the shard pool (vs drained inline).
-    pub parallel_windows: u64,
-    /// Lane-local events processed across all shards.
+    /// Lane-local events processed.
     pub shard_events: u64,
     /// Global events processed.
     pub global_events: u64,
@@ -273,7 +247,6 @@ struct Prof {
     drain: std::time::Duration,
     flush: std::time::Duration,
     windows: u64,
-    par_windows: u64,
     global_events: u64,
 }
 
@@ -334,23 +307,18 @@ fn lane_start_background(
     replan_lane(lane, i, now, heap, elision);
 }
 
-/// Drain every lane-local event with `time <= ctx.horizon` from one
-/// shard. This is THE engine loop, shared verbatim by the serial path
-/// (shards drained one after another) and the parallel path (shards
-/// drained concurrently): it touches only the shard's own lanes, heap and
-/// scratch plus the read-only context, so cross-shard interleaving cannot
-/// influence any outcome.
-fn drain_shard(lanes: &mut [Lane], base: usize, shard: &mut Shard, ctx: &ShardCtx) {
+/// Drain every lane-local event with `time <= ctx.horizon` from the lane
+/// heap: THE engine loop.
+fn drain_shard(lanes: &mut [Lane], shard: &mut LaneHeap, ctx: &ShardCtx) {
     while let Some(&Reverse(ev)) = shard.heap.peek() {
         if ev.t > ctx.horizon {
             break;
         }
         shard.heap.pop();
         shard.events += 1;
-        shard.last_pop = ev.t;
         let t = SimTime::from_nanos(ev.t);
         let i = ev.ost as usize;
-        let lane = &mut lanes[i - base];
+        let lane = &mut lanes[i];
         match ev.class {
             CLASS_WAKE => {
                 if lane.planned_wake != Some(ev.t) || lane.wake_gen != ev.aux {
@@ -385,10 +353,9 @@ fn drain_shard(lanes: &mut [Lane], base: usize, shard: &mut Shard, ctx: &ShardCt
                             }
                         }
                     } else {
-                        // Foreground chunk: defer — op accounting, the
+                        // Foreground chunk: buffer — op accounting, the
                         // corruption draw and the completion stream are
-                        // serial, merged between windows.
-                        lane.fg_count -= 1;
+                        // applied before the next global event.
                         shard.fg_buf.push(FgDone {
                             t: ev.t,
                             ost: ev.ost,
@@ -425,127 +392,15 @@ fn drain_shard(lanes: &mut [Lane], base: usize, shard: &mut Shard, ctx: &ShardCt
     }
 }
 
-/// First global OST index of shard `s` when `n` lanes split `nshards`
-/// ways (contiguous ranges; the inverse of `i * nshards / n`).
-fn shard_bound(s: usize, n: usize, nshards: usize) -> usize {
-    (s * n).div_ceil(nshards)
-}
-
-/// Globals that never read or write op accounting, the completion
-/// stream, or corruption state (they touch lanes, the job population,
-/// the queue, or the MDS freeze flag only). The serial foreground apply
-/// commutes exactly with such an event, so it may be deferred past it
-/// onto the next window — where it overlaps the parallel shard drain.
-fn op_neutral(ev: &Internal) -> bool {
-    matches!(
-        ev,
-        Internal::JobArrival
-            | Internal::JobDeparture(_)
-            | Internal::BrownoutEnd(..)
-            | Internal::OstRecover(..)
-            | Internal::MdsRecover(_)
-    )
-}
-
-/// Silent-corruption decision for one data-write chunk completing on OST
-/// `i` at `now` (free-function form so the pipelined apply can run while
-/// `lanes`/`shards` are mutably borrowed by a drain in flight).
-fn corrupt_part(
-    req_to_op: &FxHashMap<u64, u64>,
-    ops: &mut FxHashMap<u64, OpState>,
-    corrupt_windows: &[(usize, SimTime, Option<SimTime>, f64)],
-    corrupt_rng: &mut Rng,
-    now: SimTime,
-    rid: RequestId,
-    i: usize,
-) {
-    let Some(&op_id) = req_to_op.get(&rid.0) else {
-        return;
-    };
-    let Some(op) = ops.get(&op_id) else {
-        return;
-    };
-    if op.kind != CompletionKind::Write {
-        return;
-    }
-    let rate = corrupt_windows
-        .iter()
-        .filter(|&&(ost, start, end, _)| {
-            ost == i && start <= now && end.map(|e| now <= e).unwrap_or(true)
-        })
-        .map(|&(_, _, _, r)| r)
-        .fold(0.0f64, f64::max);
-    if rate > 0.0 && corrupt_rng.chance(rate) {
-        ops.get_mut(&op_id).expect("op state exists").corrupt_ost = Some(OstId(i));
-    }
-}
-
-/// Account one finished (or aborted) constituent request against its
-/// operation (free-function form — see [`corrupt_part`]).
-fn finish_part(
-    req_to_op: &mut FxHashMap<u64, u64>,
-    ops: &mut FxHashMap<u64, OpState>,
-    corrupt_log: &mut Vec<(OstId, SimTime)>,
-    out: &mut Vec<StorageCompletion>,
-    now: SimTime,
-    rid: RequestId,
-    error: bool,
-) {
-    let op_id = req_to_op.remove(&rid.0).expect("completion for unknown request");
-    let op = ops.get_mut(&op_id).expect("op state exists");
-    op.pending -= 1;
-    op.error |= error;
-    if op.pending == 0 {
-        let op = ops.remove(&op_id).expect("op state exists");
-        if let (Some(ost), false) = (op.corrupt_ost, op.error) {
-            // The write took effect but carries a silent bit-flip;
-            // key the log by completion time so it correlates with
-            // the protocol's write records.
-            corrupt_log.push((ost, now));
-        }
-        out.push(StorageCompletion {
-            tag: op.tag,
-            bytes: op.total_bytes,
-            submitted: op.submitted,
-            finished: now,
-            kind: op.kind,
-            error: op.error,
-        });
-    }
-}
-
-/// Drain a collected (sorted) foreground merge buffer through the op,
-/// corruption and completion accounting. Touches none of the lane or
-/// shard state, so a deferred apply may overlap a parallel drain.
-#[allow(clippy::too_many_arguments)]
-fn apply_fg_merge(
-    fg_merge: &mut Vec<FgDone>,
-    req_to_op: &mut FxHashMap<u64, u64>,
-    ops: &mut FxHashMap<u64, OpState>,
-    corrupt_windows: &[(usize, SimTime, Option<SimTime>, f64)],
-    corrupt_rng: &mut Rng,
-    corrupt_log: &mut Vec<(OstId, SimTime)>,
-    out: &mut Vec<StorageCompletion>,
-) {
-    for f in fg_merge.drain(..) {
-        let time = SimTime::from_nanos(f.t);
-        corrupt_part(req_to_op, ops, corrupt_windows, corrupt_rng, time, RequestId(f.rid), f.ost as usize);
-        finish_part(req_to_op, ops, corrupt_log, out, time, RequestId(f.rid), false);
-    }
-}
-
 /// The storage half of the co-simulation.
 pub struct StorageSystem {
     /// Machine parameters, shared: campaign sweeps hand every replicate
     /// the same `Arc` instead of deep-cloning the config per run.
     cfg: std::sync::Arc<MachineConfig>,
-    /// Per-OST lanes, partitioned contiguously across `shards`.
+    /// Per-OST lanes.
     lanes: Vec<Lane>,
-    /// Per-shard event heaps and arenas (`shards.len()` == shard count;
-    /// 1 = serial).
-    shards: Vec<Shard>,
-    /// Parked workers for parallel windows (`None` below 2 threads).
-    pool: Option<ShardPool>,
+    /// Lane-local events of every lane, and their scratch arenas.
+    lane_heap: LaneHeap,
     fs: FileSystem,
     mds: Mds,
     jobs_model: JobLoadModel,
@@ -557,7 +412,7 @@ pub struct StorageSystem {
     /// fresh one in the last ulp. Id order is history-independent.
     active_jobs: Vec<(u64, CompetingLoad)>,
     next_job_id: u64,
-    /// Global decision points only; lane-local traffic lives in shards.
+    /// Global decision points only; lane-local traffic lives in `lane_heap`.
     queue: EventQueue<Internal>,
     mds_token: Option<(EventToken, SimTime)>,
     ops: FxHashMap<u64, OpState>,
@@ -582,18 +437,6 @@ pub struct StorageSystem {
     torn_log: Vec<(OstId, SimTime)>,
     /// Reusable harvest buffer for MDS wakes.
     mds_scratch: Vec<crate::mds::MdsCompletion>,
-    /// Reusable merge buffer for deferred foreground completions.
-    fg_merge: Vec<FgDone>,
-    /// True while `fg_merge` holds collected-but-unapplied completions:
-    /// the apply was deferred past an op-neutral global so the next
-    /// window's parallel drain can overlap it. Always false when control
-    /// returns to the driver.
-    fg_deferred: bool,
-    /// Memoized [`StorageSystem::next_event_time`] (`None` = dirty).
-    /// The driver probes the next storage instant once per loop turn;
-    /// without the cache that probe re-scans every shard heap head even
-    /// when nothing moved.
-    next_cache: Cell<Option<Option<SimTime>>>,
     /// Reusable buffer for the OST indices a competing job covers
     /// (arrival/departure noise re-application).
     covered_scratch: Vec<usize>,
@@ -617,14 +460,14 @@ impl StorageSystem {
         let mut seeder = SplitMix64::new(seed);
         let rng = seeder.stream();
         let corrupt_rng = seeder.stream();
-        let mut shard = Shard::with_capacity(cfg.ost_count);
+        let mut lane_heap = LaneHeap::with_capacity(cfg.ost_count);
         let mut lanes = Vec::with_capacity(cfg.ost_count);
         for i in 0..cfg.ost_count {
             let mut noise_rng = seeder.stream();
             let (proc_, first) = NoiseProcess::new(&cfg.noise.micro, &mut noise_rng);
             let micro_factor = proc_.factor();
             if let Some(delay) = first {
-                shard.heap.push(Reverse(ShardEv {
+                lane_heap.heap.push(Reverse(ShardEv {
                     t: (SimTime::ZERO + delay).as_nanos(),
                     ost: i as u32,
                     class: CLASS_FLIP,
@@ -646,7 +489,6 @@ impl StorageSystem {
                 bg_active: Vec::new(),
                 bg_pending: Vec::new(),
                 bg_next: 0,
-                fg_count: 0,
             });
         }
         let jobs_model = JobLoadModel::new(cfg.noise.jobs.clone(), cfg.ost_count);
@@ -660,8 +502,7 @@ impl StorageSystem {
         let mut sys = StorageSystem {
             cfg,
             lanes,
-            shards: vec![shard],
-            pool: None,
+            lane_heap,
             fs,
             mds,
             jobs_model,
@@ -681,9 +522,6 @@ impl StorageSystem {
             corrupt_log: Vec::new(),
             torn_log: Vec::new(),
             mds_scratch: Vec::with_capacity(32),
-            fg_merge: Vec::with_capacity(256),
-            fg_deferred: false,
-            next_cache: Cell::new(None),
             covered_scratch: Vec::new(),
             stripe_counts: Vec::new(),
             chunk_scratch: Vec::new(),
@@ -713,8 +551,7 @@ impl StorageSystem {
     /// stochastic element is rebuilt in the exact construction order of
     /// [`StorageSystem::new`] (so a reset system is byte-identical to a
     /// fresh one for the same seed), while queues, heaps, maps and scratch
-    /// buffers keep their capacity — as does the shard layout and its
-    /// worker pool. The file *table* survives with sizes zeroed — sweep
+    /// buffers keep their capacity. The file *table* survives with sizes zeroed — sweep
     /// runs replay an identical per-seed workload, so existing `FileId`s
     /// stay valid and the per-seed create path can be skipped. Fault
     /// scripts are cleared; re-install per run if needed.
@@ -723,15 +560,11 @@ impl StorageSystem {
         self.rng = seeder.stream();
         self.corrupt_rng = seeder.stream();
         self.queue.reset();
-        let nshards = self.shards.len();
-        let n = self.lanes.len();
-        for sh in &mut self.shards {
-            sh.heap.clear();
-            sh.scratch.clear();
-            sh.fg_buf.clear();
-            sh.events = 0;
-            sh.last_pop = u64::MAX;
-        }
+        let lh = &mut self.lane_heap;
+        lh.heap.clear();
+        lh.scratch.clear();
+        lh.fg_buf.clear();
+        lh.events = 0;
         for (i, lane) in self.lanes.iter_mut().enumerate() {
             lane.ost.reset();
             lane.noise_rng = seeder.stream();
@@ -739,7 +572,7 @@ impl StorageSystem {
             lane.micro_factor = proc_.factor();
             lane.micro = proc_;
             if let Some(delay) = first {
-                self.shards[i * nshards / n].heap.push(Reverse(ShardEv {
+                self.lane_heap.heap.push(Reverse(ShardEv {
                     t: (SimTime::ZERO + delay).as_nanos(),
                     ost: i as u32,
                     class: CLASS_FLIP,
@@ -756,7 +589,6 @@ impl StorageSystem {
             lane.bg_active.clear();
             lane.bg_pending.clear();
             lane.bg_next = 0;
-            lane.fg_count = 0;
         }
         // `jobs_model` is seed-independent (all randomness flows through
         // `rng` at spawn time), so it is retained as-is.
@@ -775,9 +607,6 @@ impl StorageSystem {
         self.corrupt_log.clear();
         self.torn_log.clear();
         self.mds_scratch.clear();
-        self.fg_merge.clear();
-        self.fg_deferred = false;
-        self.touch();
         self.out.clear();
         if let Some(p) = &mut self.prof {
             **p = Prof::default();
@@ -787,41 +616,6 @@ impl StorageSystem {
             let f = lane_combined(&self.lanes[i], i, &self.active_jobs, self.lanes.len());
             self.lanes[i].ost.set_noise(SimTime::ZERO, f);
         }
-    }
-
-    /// Partition the lanes into shards advanced by `threads` threads
-    /// (caller included; 1 = fully serial, the default). Pending
-    /// lane-local events are redistributed to the new layout, so this is
-    /// safe to call between runs *or* mid-run at a global decision point.
-    /// The completion stream is byte-identical at any setting.
-    pub fn set_shard_threads(&mut self, threads: usize) {
-        let threads = threads.max(1).min(self.lanes.len().max(1));
-        if threads == self.shards.len() {
-            return;
-        }
-        debug_assert!(!self.fg_deferred, "reshard with a deferred foreground apply");
-        self.touch();
-        let mut evs: Vec<ShardEv> = Vec::new();
-        let mut events = 0u64;
-        for sh in &mut self.shards {
-            debug_assert!(sh.fg_buf.is_empty(), "reshard inside a window");
-            evs.extend(sh.heap.drain().map(|Reverse(e)| e));
-            events += sh.events;
-        }
-        let n = self.lanes.len();
-        self.shards.truncate(threads);
-        let per_shard = n.div_ceil(threads);
-        self.shards.resize_with(threads, || Shard::with_capacity(per_shard));
-        self.shards[0].events = events;
-        for e in evs {
-            self.shards[e.ost as usize * threads / n].heap.push(Reverse(e));
-        }
-        self.pool = (threads > 1).then(|| ShardPool::new(threads));
-    }
-
-    /// Current shard count (1 = serial).
-    pub fn shard_threads(&self) -> usize {
-        self.shards.len()
     }
 
     /// Start collecting a wall-time phase breakdown (see
@@ -836,8 +630,7 @@ impl StorageSystem {
             ost_advance_s: p.drain.as_secs_f64(),
             harvest_merge_s: p.flush.as_secs_f64(),
             windows: p.windows,
-            parallel_windows: p.par_windows,
-            shard_events: self.shards.iter().map(|s| s.events).sum(),
+            shard_events: self.lane_heap.events,
             global_events: p.global_events,
         })
     }
@@ -875,18 +668,13 @@ impl StorageSystem {
         self.queue.schedule(SimTime::ZERO + first, Internal::JobArrival);
     }
 
-    fn shard_of(&self, i: usize) -> usize {
-        i * self.shards.len() / self.lanes.len()
-    }
-
     /// Re-apply the combined noise factor to one lane and re-plan its
     /// wake (serial contexts: global events, submissions, fault edits).
     fn apply_noise(&mut self, i: usize, now: SimTime) {
         let f = lane_combined(&self.lanes[i], i, &self.active_jobs, self.lanes.len());
-        let s = self.shard_of(i);
         let lane = &mut self.lanes[i];
         lane.ost.set_noise(now, f);
-        replan_lane(lane, i, now, &mut self.shards[s].heap, Self::REPLAN_ELISION);
+        replan_lane(lane, i, now, &mut self.lane_heap.heap, Self::REPLAN_ELISION);
     }
 
     /// The machine configuration this system was built from.
@@ -941,12 +729,11 @@ impl StorageSystem {
     const REPLAN_ELISION: bool = !cfg!(feature = "baseline-engine");
 
     fn replan_ost(&mut self, i: usize, now: SimTime) {
-        let s = self.shard_of(i);
         replan_lane(
             &mut self.lanes[i],
             i,
             now,
-            &mut self.shards[s].heap,
+            &mut self.lane_heap.heap,
             Self::REPLAN_ELISION,
         );
     }
@@ -1057,12 +844,10 @@ impl StorageSystem {
                 let at = now + SimDuration::from_secs_f64(self.cfg.ost.request_overhead);
                 self.queue.schedule(at, Internal::FailFast(rid.0));
             } else {
-                self.lanes[ost.0].fg_count += 1;
                 self.lanes[ost.0].ost.submit(now, rid, bytes, kind);
                 self.replan_ost(ost.0, now);
             }
         }
-        self.touch();
     }
 
     /// Submit an open/create to the metadata server.
@@ -1095,7 +880,6 @@ impl StorageSystem {
         self.req_to_op.insert(rid.0, op_id);
         self.mds.submit(now, rid, op);
         self.replan_mds(now);
-        self.touch();
     }
 
     /// Degrade one OST to a fixed fraction of its capability from `now`
@@ -1107,7 +891,6 @@ impl StorageSystem {
         self.process_due(now);
         self.lanes[ost.0].degraded = factor;
         self.apply_noise(ost.0, now);
-        self.touch();
     }
 
     /// Lift a previous [`StorageSystem::degrade_ost`].
@@ -1115,7 +898,6 @@ impl StorageSystem {
         self.process_due(now);
         self.lanes[ost.0].degraded = 1.0;
         self.apply_noise(ost.0, now);
-        self.touch();
     }
 
     /// Install a fault script: every event is scheduled through the
@@ -1127,7 +909,6 @@ impl StorageSystem {
             self.fault_events.push(*ev);
             self.queue.schedule(ev.at(), Internal::FaultStart(idx));
         }
-        self.touch();
     }
 
     /// Whether `ost` is currently down (either failure mode).
@@ -1173,7 +954,6 @@ impl StorageSystem {
             bytes,
             mean_gap: None,
         });
-        self.touch();
     }
 
     /// Install a bursty background stream: after each completed burst the
@@ -1186,73 +966,34 @@ impl StorageSystem {
             bytes,
             mean_gap: Some(mean_gap_secs),
         });
-        self.touch();
     }
 
     fn start_background(&mut self, now: SimTime, spec: BgSpec) {
         let i = spec.ost.0;
-        let s = self.shard_of(i);
         lane_start_background(
             &mut self.lanes[i],
             i,
             now,
             spec,
-            &mut self.shards[s].heap,
+            &mut self.lane_heap.heap,
             Self::REPLAN_ELISION,
         );
     }
 
-    /// When the storage system next changes state on its own. May report
-    /// a stale (superseded) lane wake; advancing to it is harmless — the
-    /// wake is discarded on pop — and both execution modes see the same
-    /// heads, so the driver's loop stays byte-identical.
-    ///
-    /// O(1) when nothing has moved since the last probe: the scan result
-    /// is memoized and invalidated ([`Self::touch`]) by every mutating
-    /// entry point. Debug builds cross-check the cache against a fresh
-    /// scan on every hit.
+    /// When the storage system next changes state on its own: the earlier
+    /// of the global queue's head and the lane heap's head. May report a
+    /// stale (superseded) lane wake; advancing to it is harmless — the
+    /// wake is discarded on pop.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        if let Some(cached) = self.next_cache.get() {
-            debug_assert_eq!(
-                cached,
-                self.scan_next_event_time(),
-                "stale next_event_time cache"
-            );
-            return cached;
+        let lane = self
+            .lane_heap
+            .heap
+            .peek()
+            .map(|&Reverse(ev)| SimTime::from_nanos(ev.t));
+        match (self.queue.peek_time(), lane) {
+            (Some(g), Some(l)) => Some(g.min(l)),
+            (g, l) => g.or(l),
         }
-        let t = self.scan_next_event_time();
-        self.next_cache.set(Some(t));
-        t
-    }
-
-    /// The uncached scan behind [`Self::next_event_time`].
-    fn scan_next_event_time(&self) -> Option<SimTime> {
-        let mut best = self.queue.peek_time();
-        for sh in &self.shards {
-            if let Some(&Reverse(ev)) = sh.heap.peek() {
-                let t = SimTime::from_nanos(ev.t);
-                best = Some(best.map_or(t, |b| b.min(t)));
-            }
-        }
-        best
-    }
-
-    /// Invalidate the memoized [`Self::next_event_time`]. Called by every
-    /// entry point that can move the earliest pending event (schedules,
-    /// pops, re-plans).
-    fn touch(&self) {
-        self.next_cache.set(None);
-    }
-
-    /// Earliest pending lane-local event across all shards, in nanos.
-    fn next_shard_time(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for sh in &self.shards {
-            if let Some(&Reverse(ev)) = sh.heap.peek() {
-                best = Some(best.map_or(ev.t, |b| b.min(ev.t)));
-            }
-        }
-        best
     }
 
     /// Advance internal state to `deadline` (inclusive), returning every
@@ -1271,443 +1012,94 @@ impl StorageSystem {
         out.append(&mut self.out);
     }
 
-    /// Safety margin (nanos) subtracted from the engines' foreground
-    /// completion bounds: covers the nanosecond rounding of `SimTime`
-    /// plus last-ulp float drift between the bound arithmetic and the
-    /// settle arithmetic. The bound must be a *true* lower bound — a
-    /// completion strictly inside a drained window would surface with
-    /// later lane events already processed, which the one-event-at-a-time
-    /// driver could never produce.
-    const FG_BOUND_GUARD_NANOS: u64 = 2;
-
-    /// A conservative lower bound (nanos) on the earliest instant any
-    /// in-flight *foreground* chunk can finish, or `None` when no healthy
-    /// lane holds foreground work. Frozen lanes contribute nothing: they
-    /// can only thaw at a global event, which bounds every drain window
-    /// anyway.
-    fn fg_bound(&self) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for lane in &self.lanes {
-            if lane.fg_count == 0 {
-                continue;
-            }
-            if let Some(t) = lane.ost.fg_completion_bound() {
-                let tn = t.as_nanos().saturating_sub(Self::FG_BOUND_GUARD_NANOS);
-                best = Some(best.map_or(tn, |b| b.min(tn)));
-            }
-        }
-        best
-    }
-
-    /// **Protocol lookahead.** Advance internal state up to `horizon`
-    /// (inclusive) in wide, bound-steered windows, stopping at the first
-    /// instant `c` at which one or more operation completions surface;
-    /// all completions with `finished <= c` are appended to `out` in
-    /// completion order.
-    ///
-    /// Soundness: the driver guarantees no cluster actor runs before its
-    /// next queued event, so `horizon = min(next cluster event, deadline)`
-    /// is a sound lookahead horizon; within it, [`Self::fg_bound`] proves
-    /// windows free of foreground completions, which are therefore safe
-    /// to bulk-drain (noise flips, background renewals, stream wakes)
-    /// without ever processing a lane event past an undelivered
-    /// completion. The completion stream, every stochastic draw and the
-    /// returned last-event time are byte-identical to driving the system
-    /// one [`Self::next_event_time`] probe at a time.
-    ///
-    /// Returns the time of the chronologically last event processed in
-    /// this call (the serial driver's `end_time` fold), or `None` when
-    /// nothing was due by `horizon`.
-    pub fn advance_until_completion(
-        &mut self,
-        horizon: SimTime,
-        out: &mut Vec<StorageCompletion>,
-    ) -> Option<SimTime> {
-        let fold = |last: Option<u64>, t: u64| -> Option<u64> {
-            Some(last.map_or(t, |l| l.max(t)))
-        };
-        // Residue: an actor submission at delivery time ran `process_due`
-        // internally and left completions in `self.out`. The serial
-        // driver hands those over at its *next* storage advance — i.e. at
-        // the earliest pending storage instant, and only if that instant
-        // wins the race against the cluster queue. Mirror that exactly.
-        if !self.out.is_empty() {
-            let ts = self.next_event_time();
-            match ts {
-                Some(ts) if ts <= horizon => {
-                    let last = self.process_due(ts);
-                    out.append(&mut self.out);
-                    return last.map(SimTime::from_nanos).or(Some(ts));
-                }
-                _ => return None,
-            }
-        }
-        let mut last: Option<u64> = None;
-        loop {
-            let gt = self.queue.peek_time();
-            let win = match gt {
-                Some(t) if t <= horizon => t,
-                _ => horizon,
-            };
-            let win_n = win.as_nanos();
-            // Foreground-bound state for this window. The bound scan is
-            // O(foreground streams), so it is managed adaptively:
-            //
-            //  * `Unscanned` — pay nothing until a completion-free step
-            //    proves there is a noise run to amortize a scan over; a
-            //    call whose first instant already delivers never scans.
-            //  * `NoFg` — no foreground work in flight: the whole window
-            //    is completion-free (op completions need a foreground
-            //    chunk; metadata ops finish at global MDS wakes).
-            //  * `Slack(b)` — a computed bound with room to batch. Valid
-            //    for the rest of the window (no foreground submission or
-            //    fault can occur between globals, and the engines bound
-            //    remaining bytes at peak rate, so lane-local drains never
-            //    pull a completion below an earlier bound); refreshed
-            //    when a batch consumes it.
-            //  * `Exhausted` — the bound stopped offering slack
-            //    (completion-dense stretch): degrade to bound-free
-            //    single-instant steps, which cost what a stepwise
-            //    advance costs, instead of rescanning per event.
-            #[derive(Clone, Copy)]
-            enum Bound {
-                Unscanned,
-                NoFg,
-                Slack(u64),
-                Exhausted,
-            }
-            let mut bound = Bound::Unscanned;
-            // Inner loop: bulk-drain lane-local events in windows proven
-            // completion-free, collapsing to single-event steps only when
-            // the bound offers no slack.
-            while let Some(ne) = self.next_shard_time().filter(|&t| t <= win_n) {
-                let target = match bound {
-                    Bound::Unscanned | Bound::Exhausted => ne,
-                    Bound::NoFg => win_n,
-                    Bound::Slack(b) if b > ne => b.min(win_n),
-                    Bound::Slack(_) => {
-                        bound = Bound::Exhausted;
-                        ne
-                    }
-                };
-                let popped = self.timed_drain(SimTime::from_nanos(target));
-                if popped != u64::MAX {
-                    last = fold(last, popped);
-                }
-                // Must apply (not defer): only op accounting can tell
-                // whether a harvested chunk finished an operation.
-                self.timed_flush();
-                if !self.out.is_empty() {
-                    // Complete the instant: drain time-ties (including
-                    // any global at exactly `target`) before delivering,
-                    // exactly as the serial loop's advance would.
-                    if let Some(t2) = self.process_due(SimTime::from_nanos(target)) {
-                        last = fold(last, t2);
-                    }
-                    out.append(&mut self.out);
-                    self.touch();
-                    return last.map(SimTime::from_nanos);
-                }
-                let rescan = match bound {
-                    Bound::Unscanned => true,
-                    Bound::Slack(b) => b <= target,
-                    Bound::NoFg | Bound::Exhausted => false,
-                };
-                if rescan {
-                    bound = match self.fg_bound() {
-                        None => Bound::NoFg,
-                        Some(b) if b > target => Bound::Slack(b),
-                        Some(_) => Bound::Exhausted,
-                    };
-                }
-            }
-            // No lane event remains at or before `win`: handle one global
-            // if it is due, then re-derive the window.
-            match gt {
-                Some(t) if t <= horizon => {
-                    let (t, ev) = self.queue.pop().expect("peeked event exists");
-                    if let Some(p) = &mut self.prof {
-                        p.global_events += 1;
-                    }
-                    self.handle_global(t, ev);
-                    last = fold(last, t.as_nanos());
-                    if !self.out.is_empty() {
-                        if let Some(t2) = self.process_due(t) {
-                            last = fold(last, t2);
-                        }
-                        out.append(&mut self.out);
-                        self.touch();
-                        return last.map(SimTime::from_nanos);
-                    }
-                }
-                _ => {
-                    self.touch();
-                    return last.map(SimTime::from_nanos);
-                }
-            }
-        }
-    }
-
-    /// Process every internal event with `time <= deadline`: the
-    /// **macro-step loop**. Each iteration computes the conservative
-    /// horizon — the earlier of the next global event and `deadline` —
-    /// drains every shard's lane-local events up to it (in parallel when
-    /// the pool is on and at least two shards have due work), merges the
-    /// deferred foreground completions in `(time, target, submission)`
-    /// order, then handles at most one global event. Shard events win
-    /// time ties against global events by construction, identically in
-    /// both modes.
+    /// Process every internal event with `time <= deadline`. Each
+    /// iteration computes the horizon — the earlier of the next global
+    /// event and `deadline` — drains the lane heap up to it, applies the
+    /// buffered foreground completions in `(time, target)` order, then
+    /// handles at most one global event. Lane events win time ties
+    /// against global events by construction.
     ///
     /// Called from [`Self::advance_to`] and from every external entry
     /// point (submissions, degrade/restore), so state mutations at `now`
     /// can never observe an OST that still owes progress to an earlier
     /// queued wake — that would drive `Ost::settle` backwards in time.
-    /// Returns the time (nanos) of the chronologically last event this
-    /// call processed — shard pops (stale wakes included) and global
-    /// events alike — or `None` when nothing was due. That is exactly
-    /// the last instant the serial one-event-at-a-time driver would have
-    /// advanced to, so the lookahead driver can reproduce its `end_time`
-    /// without replaying the event sequence.
-    fn process_due(&mut self, deadline: SimTime) -> Option<u64> {
-        let mut last: Option<u64> = None;
+    fn process_due(&mut self, deadline: SimTime) {
         loop {
             let gt = self.queue.peek_time();
             let horizon = match gt {
                 Some(t) if t <= deadline => t,
                 _ => deadline,
             };
-            let popped = self.timed_drain(horizon);
-            if popped != u64::MAX {
-                last = Some(last.map_or(popped, |l| l.max(popped)));
-            }
+            self.timed_drain(horizon);
+            self.timed_flush();
             match gt {
                 Some(t) if t <= deadline => {
                     let (t, ev) = self.queue.pop().expect("peeked event exists");
                     if let Some(p) = &mut self.prof {
                         p.global_events += 1;
                     }
-                    // Pipelining: past an op-neutral global the serial
-                    // foreground apply commutes exactly, so it is only
-                    // *collected* (merged + sorted) here and applied
-                    // overlapped with the next window's parallel drain.
-                    if self.pool.is_some() && op_neutral(&ev) {
-                        self.timed_collect();
-                    } else {
-                        self.timed_flush();
-                    }
                     self.handle_global(t, ev);
-                    let tn = t.as_nanos();
-                    last = Some(last.map_or(tn, |l| l.max(tn)));
                 }
-                _ => {
-                    self.timed_flush();
-                    break;
-                }
+                _ => break,
             }
         }
-        debug_assert!(!self.fg_deferred, "deferred apply leaked past process_due");
-        self.touch();
-        last
     }
 
-    /// [`Self::drain_shards`] under the profiling clock. Returns the
-    /// latest event time popped (nanos; `u64::MAX` when nothing was due).
-    fn timed_drain(&mut self, horizon: SimTime) -> u64 {
+    /// [`Self::drain_lanes`] under the profiling clock.
+    fn timed_drain(&mut self, horizon: SimTime) {
         if self.prof.is_some() {
             let t0 = std::time::Instant::now();
-            let popped = self.drain_shards(horizon);
+            self.drain_lanes(horizon);
             let dt = t0.elapsed();
             let p = self.prof.as_mut().expect("profiling enabled");
             p.drain += dt;
             p.windows += 1;
-            popped
         } else {
-            self.drain_shards(horizon)
+            self.drain_lanes(horizon);
         }
     }
 
-    /// Collect + apply the deferred foreground completions (the full
-    /// serial harvest) under the profiling clock.
+    /// [`Self::flush_foreground`] under the profiling clock.
     fn timed_flush(&mut self) {
         if self.prof.is_some() {
             let t0 = std::time::Instant::now();
-            self.collect_foreground();
-            self.apply_foreground();
+            self.flush_foreground();
             let dt = t0.elapsed();
             self.prof.as_mut().expect("profiling enabled").flush += dt;
         } else {
-            self.collect_foreground();
-            self.apply_foreground();
+            self.flush_foreground();
         }
     }
 
-    /// Collect-only half of [`Self::timed_flush`]: merge + sort now,
-    /// leave the apply for the next window's drain to overlap.
-    fn timed_collect(&mut self) {
-        if self.prof.is_some() {
-            let t0 = std::time::Instant::now();
-            self.collect_foreground();
-            let dt = t0.elapsed();
-            self.prof.as_mut().expect("profiling enabled").flush += dt;
-        } else {
-            self.collect_foreground();
-        }
-    }
-
-    /// Drain every shard's lane-local events up to `horizon`, inline or
-    /// on the pool. The two dispatch modes run the identical
-    /// [`drain_shard`] body over the identical per-shard state, so the
-    /// choice (and the thread count) cannot affect any simulation
-    /// outcome — only wall-clock time.
-    ///
-    /// A foreground apply deferred by the previous window runs here
-    /// first — on the caller thread, *overlapped* with the parallel
-    /// dispatch when the pool is engaged (sound because the apply
-    /// touches only op/completion state and the drains touch only
-    /// lane/shard state; the borrow split below proves the disjointness).
-    ///
-    /// Returns the latest event time (nanos) any shard popped, or
-    /// `u64::MAX` when no shard had due work.
-    fn drain_shards(&mut self, horizon: SimTime) -> u64 {
-        let StorageSystem {
-            lanes,
-            shards,
-            pool,
-            prof,
-            active_jobs,
-            fg_merge,
-            fg_deferred,
-            ops,
-            req_to_op,
-            out,
-            corrupt_rng,
-            corrupt_windows,
-            corrupt_log,
-            ..
-        } = self;
-        let hn = horizon.as_nanos();
-        let n = lanes.len();
+    /// Drain the lane heap up to `horizon`.
+    fn drain_lanes(&mut self, horizon: SimTime) {
         let ctx = ShardCtx {
-            jobs: active_jobs,
-            ost_count: n,
-            horizon: hn,
+            jobs: &self.active_jobs,
+            ost_count: self.lanes.len(),
+            horizon: horizon.as_nanos(),
             elision: Self::REPLAN_ELISION,
         };
-        let mut apply = || {
-            if *fg_deferred {
-                *fg_deferred = false;
-                apply_fg_merge(fg_merge, req_to_op, ops, corrupt_windows, corrupt_rng, corrupt_log, out);
-            }
-        };
-        let nshards = shards.len();
-        if nshards == 1 {
-            apply();
-            let sh = &mut shards[0];
-            sh.last_pop = u64::MAX;
-            drain_shard(lanes, 0, sh, &ctx);
-            return sh.last_pop;
-        }
-        let due = shards
-            .iter()
-            .filter(|s| s.heap.peek().is_some_and(|&Reverse(e)| e.t <= hn))
-            .count();
-        if due == 0 {
-            apply();
-            return u64::MAX;
-        }
-        struct Task<'a> {
-            lanes: &'a mut [Lane],
-            base: usize,
-            shard: &'a mut Shard,
-        }
-        let mut tasks: Vec<Task> = Vec::with_capacity(nshards);
-        let mut rest: &mut [Lane] = lanes;
-        let mut base = 0usize;
-        for (s, shard) in shards.iter_mut().enumerate() {
-            shard.last_pop = u64::MAX;
-            let end = shard_bound(s + 1, n, nshards);
-            let (head, tail) = rest.split_at_mut(end - base);
-            tasks.push(Task { lanes: head, base, shard });
-            rest = tail;
-            base = end;
-        }
-        match pool {
-            // Parallel dispatch pays a fixed synchronization toll; a
-            // window with work in a single shard runs inline instead
-            // (identical results either way — see above).
-            Some(pool) if due >= 2 => {
-                if let Some(p) = prof {
-                    p.par_windows += 1;
-                }
-                let ctx = &ctx;
-                let slots: Vec<Mutex<Option<Task>>> =
-                    tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-                pool.run_with_serial(
-                    slots.len(),
-                    &|s| {
-                        let task = slots[s].lock().unwrap().take();
-                        let task = task.expect("shard task claimed once");
-                        drain_shard(task.lanes, task.base, task.shard, ctx);
-                    },
-                    &mut apply,
-                );
-            }
-            _ => {
-                apply();
-                for task in tasks {
-                    drain_shard(task.lanes, task.base, task.shard, &ctx);
-                }
-            }
-        }
-        shards
-            .iter()
-            .map(|s| s.last_pop)
-            .filter(|&t| t != u64::MAX)
-            .max()
-            .unwrap_or(u64::MAX)
+        drain_shard(&mut self.lanes, &mut self.lane_heap, &ctx);
     }
 
-    /// Merge the shards' deferred foreground completions into `fg_merge`
-    /// in `(time, target)` order (stable, so same-lane completions keep
-    /// their in-shard order — which is submission order at equal times)
-    /// without applying them yet.
-    fn collect_foreground(&mut self) {
-        debug_assert!(!self.fg_deferred, "collect over an unapplied merge buffer");
-        if self.shards.iter().all(|s| s.fg_buf.is_empty()) {
+    /// Apply the buffered foreground completions through op accounting,
+    /// the corruption draw and the completion stream, in `(time, target)`
+    /// order (stable, so same-lane completions keep their drain order —
+    /// which is submission order at equal times). Runs before every
+    /// global event, so the out stream and the op/corruption accounting
+    /// observe exactly the event order.
+    fn flush_foreground(&mut self) {
+        if self.lane_heap.fg_buf.is_empty() {
             return;
         }
-        let merge = &mut self.fg_merge;
-        for sh in &mut self.shards {
-            merge.append(&mut sh.fg_buf);
+        let mut fg = std::mem::take(&mut self.lane_heap.fg_buf);
+        fg.sort_by_key(|f| (f.t, f.ost));
+        for f in fg.drain(..) {
+            let now = SimTime::from_nanos(f.t);
+            self.corrupt_part(now, RequestId(f.rid), f.ost as usize);
+            self.complete_part(now, RequestId(f.rid), false);
         }
-        merge.sort_by_key(|f| (f.t, f.ost));
-        self.fg_deferred = true;
-    }
-
-    /// Apply a collected merge buffer through op accounting, the
-    /// corruption draw and the completion stream. Together with
-    /// [`Self::collect_foreground`] this is the old `flush_foreground`,
-    /// split so the apply half can be deferred past op-neutral globals
-    /// (and run overlapped inside [`Self::drain_shards`]). Runs before
-    /// every op-touching global, so the out stream and the op/corruption
-    /// accounting observe exactly the serial event order regardless of
-    /// how the window was executed.
-    fn apply_foreground(&mut self) {
-        if !self.fg_deferred {
-            return;
-        }
-        self.fg_deferred = false;
-        let StorageSystem {
-            fg_merge,
-            ops,
-            req_to_op,
-            out,
-            corrupt_rng,
-            corrupt_windows,
-            corrupt_log,
-            ..
-        } = self;
-        apply_fg_merge(fg_merge, req_to_op, ops, corrupt_windows, corrupt_rng, corrupt_log, out);
+        self.lane_heap.fg_buf = fg;
     }
 
     /// Apply one global event at its scheduled instant.
@@ -1829,7 +1221,6 @@ impl StorageSystem {
                             }
                             self.complete_part(t, rid, true);
                         }
-                        self.lanes[i].fg_count = 0;
                     }
                 }
                 if let Some(r) = recover_at {
@@ -1876,7 +1267,6 @@ impl StorageSystem {
                     torn_any = true;
                     self.complete_part(t, rid, true);
                 }
-                self.lanes[i].fg_count = 0;
                 if torn_any {
                     self.torn_log.push((ost, t));
                 }
@@ -1889,15 +1279,58 @@ impl StorageSystem {
     /// operation, surfacing the operation completion when the last part
     /// resolves.
     fn complete_part(&mut self, now: SimTime, rid: RequestId, error: bool) {
-        finish_part(
-            &mut self.req_to_op,
-            &mut self.ops,
-            &mut self.corrupt_log,
-            &mut self.out,
-            now,
-            rid,
-            error,
-        );
+        let op_id = self
+            .req_to_op
+            .remove(&rid.0)
+            .expect("completion for unknown request");
+        let op = self.ops.get_mut(&op_id).expect("op state exists");
+        op.pending -= 1;
+        op.error |= error;
+        if op.pending == 0 {
+            let op = self.ops.remove(&op_id).expect("op state exists");
+            if let (Some(ost), false) = (op.corrupt_ost, op.error) {
+                // The write took effect but carries a silent bit-flip;
+                // key the log by completion time so it correlates with
+                // the protocol's write records.
+                self.corrupt_log.push((ost, now));
+            }
+            self.out.push(StorageCompletion {
+                tag: op.tag,
+                bytes: op.total_bytes,
+                submitted: op.submitted,
+                finished: now,
+                kind: op.kind,
+                error: op.error,
+            });
+        }
+    }
+
+    /// Silent-corruption decision for one data-write chunk completing on
+    /// OST `i` at `now`.
+    fn corrupt_part(&mut self, now: SimTime, rid: RequestId, i: usize) {
+        let Some(&op_id) = self.req_to_op.get(&rid.0) else {
+            return;
+        };
+        let Some(op) = self.ops.get(&op_id) else {
+            return;
+        };
+        if op.kind != CompletionKind::Write {
+            return;
+        }
+        let rate = self
+            .corrupt_windows
+            .iter()
+            .filter(|&&(ost, start, end, _)| {
+                ost == i && start <= now && end.map(|e| now <= e).unwrap_or(true)
+            })
+            .map(|&(_, _, _, r)| r)
+            .fold(0.0f64, f64::max);
+        if rate > 0.0 && self.corrupt_rng.chance(rate) {
+            self.ops
+                .get_mut(&op_id)
+                .expect("op state exists")
+                .corrupt_ost = Some(OstId(i));
+        }
     }
 
     /// Convenience for non-cluster experiments (pure storage tests): run
@@ -2315,153 +1748,6 @@ mod tests {
         assert_eq!(done.len(), 20);
         for w in done.windows(2) {
             assert!(w[0].finished <= w[1].finished);
-        }
-    }
-
-    /// Every mutating entry point must invalidate the memoized
-    /// `next_event_time`. The accessor cross-checks its cache against a
-    /// fresh scan in debug builds, so probing after each mutation turns
-    /// any missing invalidation into a panic here.
-    #[test]
-    fn next_event_time_cache_survives_every_mutating_entry_point() {
-        let mut sys = StorageSystem::new(testbed(), 21);
-        let f = sys.fs_mut().create("probe", StripeSpec::Pinned(vec![OstId(0), OstId(1)]));
-        sys.next_event_time();
-        sys.install_faults(&FaultScript::none().brownout(5.0, 3, 0.5, 1.0));
-        sys.next_event_time();
-        sys.submit_ost_write(SimTime::ZERO, OstId(0), 4 * MIB, 0);
-        assert!(sys.next_event_time().is_some(), "pending write must schedule a wake");
-        sys.submit_file_write(SimTime::ZERO, f, 0, 4 * MIB, 1);
-        sys.next_event_time();
-        sys.submit_open(SimTime::ZERO, 2);
-        sys.next_event_time();
-        sys.submit_close(SimTime::ZERO, 3);
-        sys.next_event_time();
-        sys.degrade_ost(t(0.001), OstId(2), 0.5);
-        sys.next_event_time();
-        sys.restore_ost(t(0.002), OstId(2));
-        sys.next_event_time();
-        sys.add_background_stream(t(0.003), OstId(4), 8 * MIB);
-        sys.next_event_time();
-        sys.add_bursty_stream(t(0.004), OstId(5), 8 * MIB, 2.0);
-        sys.next_event_time();
-        let _ = sys.advance_to(t(0.01));
-        sys.next_event_time();
-        let mut out = Vec::new();
-        let _ = sys.advance_until_completion(t(100.0), &mut out);
-        sys.next_event_time();
-        sys.set_shard_threads(2);
-        sys.next_event_time();
-        let _ = sys.run_until_quiet(t(1e6));
-        sys.next_event_time();
-        sys.reset(22);
-        assert_eq!(
-            sys.next_event_time(),
-            sys.next_event_time(),
-            "cached probe must be stable when nothing moves"
-        );
-    }
-
-    /// The lookahead advance must stop at each completion instant in
-    /// turn, returning exactly that instant.
-    #[test]
-    fn lookahead_stops_at_each_completion_instant() {
-        let mut sys = StorageSystem::new(testbed(), 30);
-        sys.submit_ost_write(SimTime::ZERO, OstId(0), 8 * MIB, 0);
-        sys.submit_ost_write(SimTime::ZERO, OstId(1), 64 * MIB, 1);
-        let mut out = Vec::new();
-        let first = sys.advance_until_completion(t(1e6), &mut out);
-        assert_eq!(out.len(), 1, "one completion per stop: {out:?}");
-        assert_eq!(out[0].tag, 0);
-        assert_eq!(first, Some(out[0].finished));
-        let second = sys.advance_until_completion(t(1e6), &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[1].tag, 1);
-        assert_eq!(second, Some(out[1].finished));
-    }
-
-    /// A horizon before the first completion advances background state
-    /// but delivers nothing.
-    #[test]
-    fn lookahead_respects_the_horizon() {
-        let mut sys = StorageSystem::new(testbed(), 31);
-        sys.submit_ost_write(SimTime::ZERO, OstId(0), 256 * MIB, 0);
-        let mut out = Vec::new();
-        let r = sys.advance_until_completion(t(0.001), &mut out);
-        assert!(out.is_empty(), "no completion inside 1 ms: {out:?}");
-        if let Some(tm) = r {
-            assert!(tm <= t(0.001));
-        }
-        let r = sys.advance_until_completion(t(1e6), &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(r, Some(out[0].finished));
-    }
-
-    /// The tentpole differential: `advance_until_completion` must
-    /// reproduce the stepwise `next_event_time`/`advance_into` driver
-    /// byte-for-byte — completion stream, corruption/torn logs and final
-    /// event time — across shard counts and under a fault script
-    /// exercising brownout, error-mode failure with recovery, torn
-    /// writes, silent corruption and an MDS outage, with background
-    /// interference running throughout.
-    #[test]
-    fn lookahead_advance_matches_stepwise_advance_under_faults() {
-        let script = FaultScript::none()
-            .brownout(0.5, 1, 0.3, 2.0)
-            .fail_ost(2.0, 2, FailMode::Error, Some(4.0))
-            .torn_write(1.0, 3)
-            .silent_corruption(0.0, 0, None, 0.5)
-            .mds_outage(0.2, 0.3);
-        let build = |threads: usize| {
-            let mut sys = StorageSystem::new(testbed(), 77);
-            sys.set_shard_threads(threads);
-            sys.install_faults(&script);
-            for i in 0..8 {
-                sys.add_background_stream(SimTime::ZERO, OstId(i % 8), 32 * MIB);
-            }
-            sys.add_bursty_stream(SimTime::ZERO, OstId(2), 16 * MIB, 1.0);
-            let mut tag = 0u64;
-            for step in 0..6u64 {
-                let now = SimTime::ZERO + SimDuration::from_millis(step * 700);
-                for o in 0..8usize {
-                    sys.submit_ost_write(now, OstId(o), (4 + step) * MIB, tag);
-                    tag += 1;
-                }
-                sys.submit_open(now, tag);
-                tag += 1;
-                sys.submit_close(now, tag);
-                tag += 1;
-            }
-            (sys, tag as usize)
-        };
-        let (mut reference, expected) = build(1);
-        let serial = reference.run_until_quiet(t(1e6));
-        assert_eq!(serial.len(), expected, "reference must resolve every op");
-        let ref_oracle = reference.integrity_oracle();
-        for threads in [1usize, 2, 4] {
-            let (mut sys, _) = build(threads);
-            let mut got: Vec<StorageCompletion> = Vec::new();
-            let mut last = None;
-            let mut stalled = 0;
-            while got.len() < expected && stalled < 3 {
-                let before = got.len();
-                let r = sys.advance_until_completion(t(1e6), &mut got);
-                if let Some(tm) = r {
-                    last = Some(tm);
-                }
-                stalled = if got.len() == before { stalled + 1 } else { 0 };
-            }
-            assert_eq!(got, serial, "lookahead diverged at {threads} shard threads");
-            assert_eq!(
-                last,
-                Some(serial.last().expect("nonempty").finished),
-                "final event time diverged at {threads} shard threads"
-            );
-            let oracle = sys.integrity_oracle();
-            assert_eq!(oracle.corrupt, ref_oracle.corrupt);
-            assert_eq!(oracle.torn, ref_oracle.torn);
-            assert_eq!(oracle.dead, ref_oracle.dead);
-            assert_eq!(oracle.lost, ref_oracle.lost);
         }
     }
 }

@@ -374,143 +374,107 @@ fn campaign_summaries_identical_across_thread_counts() {
     assert_eq!(serial, parallel, "MANAGED_IO_THREADS changed the artifact");
 }
 
-/// The tentpole contract of in-run sharding: a replicate advanced with
-/// 1, 2 or 8 shard threads produces byte-identical artifacts. The shard
-/// pool only changes which thread drains which lane heap — the drained
-/// events, the deterministic `(time, target, submission)` harvest merge
-/// and every downstream stat are invariant.
-#[test]
-fn sharded_replicates_match_serial_bytes() {
-    use managed_io::adios::{RunBase, RunScratch};
-    let base = RunBase::prepare(RunSpec {
-        machine: testbed(),
-        nprocs: 24,
-        data: DataSpec::Uniform(4 * MIB),
-        method: Method::Adaptive {
-            targets: 6,
-            opts: AdaptiveOpts::default(),
-        },
-        interference: Interference::paper_default(),
-        seed: 0,
-    });
-    let faults = FaultConfig::none();
-    let run_at = |shards: usize| {
-        let mut scratch = RunScratch::with_shard_threads(shards);
-        let results: Vec<OutputResult> = (0..3)
-            .map(|i| {
-                base.run_seed_scratch(SEED ^ 0x54AD ^ i, &faults, &mut scratch)
-                    .result
-            })
-            .collect();
-        artifact(&results)
-    };
-    let serial = run_at(1);
-    assert!(!serial.is_empty());
-    for shards in [2usize, 8] {
-        assert_eq!(
-            serial,
-            run_at(shards),
-            "{shards} shard threads changed the artifact"
-        );
-    }
+/// FNV-1a, 64-bit: the digest behind the recorded pins below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-/// Sharded advancement under a full fault cocktail (random storage
-/// script, lossy network, mid-run rank kill): faults are global decision
-/// points and shard cleanly, so the byte-identity contract holds on
-/// damaged timelines too.
-#[test]
-fn sharded_faulted_replicates_match_serial_bytes() {
-    use managed_io::adios::{RunBase, RunScratch};
-    let base = RunBase::prepare(RunSpec {
-        machine: testbed(),
-        nprocs: 24,
-        data: DataSpec::Uniform(32 * MIB),
-        method: Method::Adaptive {
-            targets: 6,
-            opts: AdaptiveOpts::default(),
-        },
-        interference: Interference::None,
-        seed: 0,
-    });
-    let faults = FaultConfig {
-        storage: managed_io::storesim::FaultScript::random(0x5EED_FA17, 6, 2.0, 3),
+/// The full fault cocktail: a random storage script, a lossy control
+/// network and a mid-run rank kill.
+fn cocktail(storage_seed: u64) -> FaultConfig {
+    FaultConfig {
+        storage: managed_io::storesim::FaultScript::random(storage_seed, 6, 2.0, 3),
         network: Some(NetFaults {
             dup_p: 0.15,
             delay_p: 0.15,
             delay_mean_secs: 0.03,
         }),
         kills: vec![(0.8, 9)],
-    };
-    let run_at = |shards: usize| {
-        let mut scratch = RunScratch::with_shard_threads(shards);
-        let results: Vec<OutputResult> = (0..2)
-            .map(|i| {
-                base.run_seed_scratch(SEED ^ 0xFA57 ^ i, &faults, &mut scratch)
-                    .result
-            })
-            .collect();
-        artifact(&results)
-    };
-    let serial = run_at(1);
-    assert!(!serial.is_empty());
-    for shards in [2usize, 8] {
-        assert_eq!(
-            serial,
-            run_at(shards),
-            "{shards} shard threads changed the faulted artifact"
-        );
     }
 }
 
-/// The coupled lookahead pin: sharded macro-window drains through the
-/// lookahead driver produce artifacts byte-identical to the stepwise
-/// serial reference, on a faulted timeline. The full per-family matrix
-/// lives in `tests/coupled_lookahead.rs`; this is the campaign-level
-/// cross-check riding next to the in-run sharding pins above.
-#[test]
-fn lookahead_sharded_replicates_match_stepwise_serial_bytes() {
+/// Digest of `n` warm replicates (`seed_mix ^ i`) through one scratch.
+/// The digests are for the default engine; see `tests/driver_pins.rs`.
+fn warm_digest(
+    interference: Interference,
+    bytes: u64,
+    faults: &FaultConfig,
+    seed_mix: u64,
+    n: u64,
+) -> u64 {
     use managed_io::adios::{RunBase, RunScratch};
     let base = RunBase::prepare(RunSpec {
         machine: testbed(),
         nprocs: 24,
-        data: DataSpec::Uniform(32 * MIB),
+        data: DataSpec::Uniform(bytes),
         method: Method::Adaptive {
             targets: 6,
             opts: AdaptiveOpts::default(),
         },
-        interference: Interference::None,
+        interference,
         seed: 0,
     });
-    let faults = FaultConfig {
-        storage: managed_io::storesim::FaultScript::random(0x1_00CA_4EAD, 6, 2.0, 3),
-        network: Some(NetFaults {
-            dup_p: 0.15,
-            delay_p: 0.15,
-            delay_mean_secs: 0.03,
-        }),
-        kills: vec![(0.8, 9)],
-    };
-    let run_at = |lookahead: bool, shards: usize| {
-        let mut scratch = RunScratch::with_shard_threads(shards);
-        scratch.set_lookahead(lookahead);
-        let results: Vec<OutputResult> = (0..2)
-            .map(|i| {
-                base.run_seed_scratch(SEED ^ 0x10CA ^ i, &faults, &mut scratch)
-                    .result
-            })
-            .collect();
-        artifact(&results)
-    };
-    let reference = run_at(false, 1);
-    assert!(!reference.is_empty());
-    for shards in [1usize, 2, 8] {
-        assert_eq!(
-            reference,
-            run_at(true, shards),
-            "lookahead at {shards} shard threads changed the faulted artifact"
-        );
-    }
+    let mut scratch = RunScratch::new();
+    let results: Vec<OutputResult> = (0..n)
+        .map(|i| {
+            base.run_seed_scratch(seed_mix ^ i, faults, &mut scratch)
+                .result
+        })
+        .collect();
+    fnv1a64(artifact(&results).as_bytes())
+}
+
+/// Warm replicates under paper-default interference reproduce their
+/// recorded artifact digest.
+#[test]
+fn interference_replicates_match_recorded_digest() {
+    let got = warm_digest(
+        Interference::paper_default(),
+        4 * MIB,
+        &FaultConfig::none(),
+        SEED ^ 0x54AD,
+        3,
+    );
+    assert_eq!(
+        got, 0xed9e69889f15c5a6,
+        "artifact digest moved: now 0x{got:016x}"
+    );
+}
+
+/// Warm replicates under the full fault cocktail reproduce their
+/// recorded artifact digest: damaged timelines are pinned too.
+#[test]
+fn faulted_cocktail_replicates_match_recorded_digest() {
+    let got = warm_digest(
+        Interference::None,
+        32 * MIB,
+        &cocktail(0x5EED_FA17),
+        SEED ^ 0xFA57,
+        2,
+    );
+    assert_eq!(
+        got, 0xe8d79491d89b9254,
+        "artifact digest moved: now 0x{got:016x}"
+    );
+}
+
+/// A second cocktail draw (different storage script and seeds), so one
+/// lucky timeline cannot carry the faulted pin alone.
+#[test]
+fn second_faulted_cocktail_replicates_match_recorded_digest() {
+    let got = warm_digest(
+        Interference::None,
+        32 * MIB,
+        &cocktail(0x1_00CA_4EAD),
+        SEED ^ 0x10CA,
+        2,
+    );
+    assert_eq!(
+        got, 0xdd4b3d08a3a1513f,
+        "artifact digest moved: now 0x{got:016x}"
+    );
 }
 
 /// A disabled redundancy plane is free, exactly: however aggressive the
